@@ -40,6 +40,7 @@ mod threadengine;
 
 pub use parsim::{set_sim_threads, sim_threads, PartitionUnsupported, PartitionedFeature};
 pub use placement::{execution_plan, MpiWorld, Placement, RunSpec};
+pub use simcore::par::HostShare;
 pub use simengine::{
     create_stream, run_sim, run_sim_checked, Disturbance, OpStream, SimConfig, SimRunResult,
     WorkerSpec, WorkerTrace,

@@ -53,13 +53,15 @@ use crate::simengine::{op_label, OpStream, SimConfig, SimRunResult, WorkerSpec, 
 
 /// `--sim-threads` state: 0 = unset (sequential classic engine, the
 /// default), N ≥ 1 = run partitionable models on the windowed engine with N
-/// OS threads.
+/// OS threads (at most one per host core).
 static SIM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Select the engine for partitionable models: `Some(n)` runs them on the
-/// conservative windowed engine with `n` OS threads (`n = 1` = the same
-/// algorithm, sequentially); `None` (the default) keeps every model on the
-/// classic sequential engine. Process-wide, read at each `run_sim` call.
+/// conservative windowed engine with `n` OS threads, capped at the host's
+/// cores (`n = 1` = the same algorithm, sequentially); `None` (the
+/// default) keeps every model on the classic sequential engine unless its
+/// run config pins the windowed engine. Process-wide, read at each
+/// `run_sim` call.
 pub fn set_sim_threads(threads: Option<usize>) {
     SIM_THREADS.store(threads.map_or(0, |n| n.max(1)), Ordering::Relaxed);
 }
@@ -70,6 +72,26 @@ pub fn sim_threads() -> Option<usize> {
     match SIM_THREADS.load(Ordering::Relaxed) {
         0 => None,
         n => Some(n),
+    }
+}
+
+/// Most OS threads a run that pins the windowed engine takes with
+/// `--sim-threads` unset. Two threads were measured to beat one on a
+/// 2-vCPU host; more have not been measured, so the default stops there.
+const PINNED_THREADS: usize = 2;
+
+/// OS threads for a windowed run, or `None` for the classic engine. Output
+/// is identical at every count, so the count is only a host-speed choice:
+/// `--sim-threads` capped at the host's cores (oversubscribed window
+/// threads just wait on each other at every barrier); with the knob unset,
+/// a run that pins the windowed engine takes up to [`PINNED_THREADS`]
+/// cores, or one while the host is shared ([`par::HostShare`]).
+pub(crate) fn window_threads(pinned: bool) -> Option<usize> {
+    match sim_threads() {
+        Some(n) => Some(n.min(par::host_cores())),
+        None if !pinned => None,
+        None if par::host_shared() => Some(1),
+        None => Some(par::host_cores().min(PINNED_THREADS)),
     }
 }
 
@@ -235,6 +257,10 @@ struct PState {
     remote: Option<RemoteRpc>,
 }
 
+/// Cache-line aligned: neighbouring domains usually run on different
+/// threads, and the per-event fields at the start of one must not share a
+/// line with the tail of the other.
+#[repr(align(128))]
 struct Domain<'run> {
     idx: usize,
     model: Box<dyn DistFs>,
@@ -743,8 +769,7 @@ impl WindowDomain for Domain<'_> {
 
     fn run_window(&mut self, end: SimTime, out: &mut Outbox<Msg>) {
         self.with_capture(|dom| {
-            while dom.sched.peek_time().is_some_and(|t| t < end) {
-                let (now, ev) = dom.sched.pop().expect("peeked event");
+            while let Some((now, ev)) = dom.sched.pop_before(end) {
                 dom.dispatch(now, ev, out);
             }
         });
@@ -992,4 +1017,24 @@ pub(crate) fn run_partitioned(
             .collect(),
         wall_time,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// With `--sim-threads` unset (never set by this crate's tests): only
+    /// pinned runs go windowed, on at most two cores, and on one while the
+    /// host is shared.
+    #[test]
+    fn pinned_default_takes_two_cores_or_one_when_shared() {
+        assert_eq!(sim_threads(), None);
+        assert_eq!(window_threads(false), None);
+        assert_eq!(window_threads(true), Some(par::host_cores().min(2)));
+        let share = par::HostShare::enter();
+        assert_eq!(window_threads(true), Some(1));
+        assert_eq!(window_threads(false), None);
+        drop(share);
+        assert_eq!(window_threads(true), Some(par::host_cores().min(2)));
+    }
 }

@@ -112,12 +112,14 @@ pub struct SimConfig {
     /// Injected disturbances.
     pub disturbances: Vec<Disturbance>,
     /// Run a partitionable model on the conservative windowed engine even
-    /// when `--sim-threads` is unset (then on one thread). The windowed
-    /// engine is bit-identical at every thread count, but its tie-breaking
-    /// of *same-instant* contention can differ from the classic engine's;
-    /// scenario bodies that measure a partitionable model under contention
-    /// pin the windowed engine so their blessed baselines hold at any
-    /// `--sim-threads` setting. Non-partitionable models are unaffected.
+    /// when `--sim-threads` is unset (then on up to two host cores, at most
+    /// one thread per domain, and on one thread inside a suite running
+    /// several scenarios at once). The windowed engine is bit-identical at
+    /// every thread count, but its tie-breaking of *same-instant*
+    /// contention can differ from the classic engine's; scenario bodies
+    /// that measure a partitionable model under contention pin the windowed
+    /// engine so their blessed baselines hold at any `--sim-threads`
+    /// setting. Non-partitionable models are unaffected.
     pub pin_windowed_engine: bool,
 }
 
@@ -388,7 +390,10 @@ pub(crate) fn op_label(op: &MetaOp) -> &'static str {
 /// [`pin_windowed_engine`](SimConfig::pin_windowed_engine)) *and* the
 /// model offers a [`dfs::PartitionPlan`], the run is dispatched to the
 /// windowed engine in `parsim` — whose results are bit-identical at every
-/// thread count. Every other run (including all models that keep the
+/// thread count. It runs on `min(--sim-threads, host cores)` OS threads,
+/// or, when only the config pins it, on up to two host cores (one while a
+/// [`HostShare`](crate::HostShare) lives); never on more threads than the
+/// plan has domains. Every other run (including all models that keep the
 /// default `partition() == None`) takes the classic sequential engine
 /// below, byte-for-byte unchanged.
 ///
@@ -417,7 +422,7 @@ pub fn run_sim_checked(
     config: &SimConfig,
 ) -> Result<SimRunResult, crate::parsim::PartitionUnsupported> {
     use crate::parsim::{PartitionUnsupported, PartitionedFeature};
-    let threads = crate::sim_threads().or_else(|| config.pin_windowed_engine.then_some(1));
+    let threads = crate::parsim::window_threads(config.pin_windowed_engine);
     if let Some(threads) = threads {
         if let Some(plan) = model.partition(node_names.len()) {
             // The model wants partitioned execution: config-level

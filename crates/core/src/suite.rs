@@ -458,11 +458,15 @@ fn run_suite_inner(
     assert!(seen.iter().all(|&b| b), "order must cover every scenario");
 
     let t0 = Instant::now();
+    let jobs = jobs.clamp(1, scenarios.len().max(1));
+    // scenarios side by side already fill the cores; a pinned windowed run
+    // must not add spinning window threads on top
+    let _share = (jobs > 1).then(cluster::HostShare::enter);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ScenarioRunResult>>> =
         scenarios.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..jobs.clamp(1, scenarios.len().max(1)) {
+        for _ in 0..jobs {
             scope.spawn(|| loop {
                 let k = next.fetch_add(1, Ordering::SeqCst);
                 if k >= order.len() {

@@ -39,6 +39,7 @@ use netsim::fault::FaultPlan;
 use netsim::{LinkSpec, RpcProfile};
 use simcore::{telemetry, DetRng, SimDuration, SimTime};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How the placement layer maps a path to its authoritative shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +153,8 @@ struct CachedLoc {
 /// The sharded multi-MDS model. See the module-level documentation.
 #[derive(Debug)]
 pub struct ShardMds {
-    config: ShardMdsConfig,
+    /// Shared with the partition replicas, which are built per run.
+    config: Arc<ShardMdsConfig>,
     /// Current subtree table (entries sorted by prefix for determinism).
     table: Vec<TableEntry>,
     /// Reshard events not yet applied (sorted by `at`).
@@ -206,6 +208,13 @@ impl ShardMds {
     /// reshard event, a duplicate table prefix, a scheduled `Remove` of the
     /// `"/"` anchor, or (in `Subtree` mode) a table without a `"/"` entry.
     pub fn new(config: ShardMdsConfig) -> Self {
+        Self::with_shared(Arc::new(config))
+    }
+
+    /// [`ShardMds::new`] over a configuration shared with other instances
+    /// (the partition replicas), so building one allocates only its own
+    /// state.
+    fn with_shared(config: Arc<ShardMdsConfig>) -> Self {
         assert!(config.shards > 0, "a shard service needs at least one MDS");
         let mut pending = config.reshard.clone();
         pending.sort_by_key(|e| e.at);
@@ -503,7 +512,9 @@ impl DistFs for ShardMds {
             server_domain,
             node_domain: (0..nodes).map(|n| n % domains).collect(),
             models: (0..domains)
-                .map(|_| Box::new(ShardMds::new(self.config.clone())) as Box<dyn DistFs>)
+                .map(|_| {
+                    Box::new(ShardMds::with_shared(Arc::clone(&self.config))) as Box<dyn DistFs>
+                })
                 .collect(),
             // every server stage below is preceded by a full one-way link
             // delay, and jitter is zero here, so the minimum link latency

@@ -99,8 +99,10 @@ struct BucketRef {
 pub struct Scheduler<E> {
     now: SimTime,
     /// Internal search position, nanoseconds. Equals `now` between pops; runs
-    /// ahead of the delivered clock only transiently inside [`Scheduler::pop`]
-    /// while cascading buckets down the wheel.
+    /// ahead of the delivered clock transiently inside [`Scheduler::pop`]
+    /// while cascading buckets down the wheel, and after a
+    /// [`Scheduler::pop_before`] that cascaded and then found nothing before
+    /// its `end` (never past that `end`).
     cursor: u64,
     seq: u64,
     /// Live (scheduled, not yet delivered or cancelled) events.
@@ -173,13 +175,23 @@ impl<E> Scheduler<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past (before [`Scheduler::now`]).
+    /// Panics if `at` is in the past (before [`Scheduler::now`]), or before
+    /// the `end` of a [`pop_before`](Scheduler::pop_before) that returned
+    /// `None` since the last delivery and searched past `at`.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
-        assert!(
-            at >= self.now,
-            "cannot schedule event in the past: {at} < {}",
-            self.now
-        );
+        if at.as_nanos() < self.cursor {
+            // `cursor == now` except after a `pop_before` that stopped at a
+            // bucket it may not cascade
+            assert!(
+                at >= self.now,
+                "cannot schedule event in the past: {at} < {}",
+                self.now
+            );
+            panic!(
+                "cannot schedule event at {at}: a pop_before already searched past it (to {})",
+                SimTime::from_nanos(self.cursor)
+            );
+        }
         let seq = self.seq;
         self.seq += 1;
         self.live += 1;
@@ -262,6 +274,61 @@ impl<E> Scheduler<E> {
             }
         }
         min_at.map(SimTime::from_nanos)
+    }
+
+    /// Deliver the next event if its timestamp is before `end`, advancing
+    /// the clock to it; `None` when nothing is pending before `end`.
+    ///
+    /// The fused form of `peek_time() < end` + [`pop`](Scheduler::pop) for
+    /// window loops: it walks the wheel once per delivery instead of
+    /// scanning the next bucket and then walking again. It never cascades a
+    /// bucket whose window starts at or after `end`, so a `None` leaves the
+    /// internal search position at or before `end`: afterwards, schedule
+    /// only at or after `end` until the next delivery (the conservative
+    /// window contract — mailbox deliveries land at or after the window
+    /// end). Scheduling earlier than that position panics rather than
+    /// misfiling the event.
+    pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        let _prof = crate::prof::scope("sched.pop");
+        let end = end.as_nanos();
+        if self.live == 0 {
+            return None;
+        }
+        loop {
+            match self.next_occupied() {
+                Some((0, slot)) => {
+                    // live level-0 entries all sit at the cursor's block
+                    // ORed with the slot index
+                    let at = (self.cursor & !(SLOTS as u64 - 1)) | slot as u64;
+                    if at >= end {
+                        return None;
+                    }
+                    if let Some((at, payload)) = self.take_min(slot) {
+                        self.cursor = at;
+                        self.now = SimTime::from_nanos(at);
+                        return Some((self.now, payload));
+                    }
+                }
+                Some((level, slot)) => {
+                    if self.window_start(level, slot).max(self.cursor) >= end {
+                        return None;
+                    }
+                    self.cascade(level, slot);
+                }
+                None => {
+                    let first = self
+                        .overflow
+                        .iter()
+                        .filter(|r| self.is_live(r.id))
+                        .map(|r| r.at)
+                        .min();
+                    if first.is_none_or(|at| at >= end) {
+                        return None;
+                    }
+                    self.refill_from_overflow();
+                }
+            }
+        }
     }
 
     /// Deliver the next event, advancing the clock to its timestamp.
@@ -416,6 +483,13 @@ impl<E> Scheduler<E> {
         }
     }
 
+    /// Start of bucket (`level`, `slot`)'s window: the cursor's digits
+    /// above `level`, `slot` at `level`, zeros below.
+    fn window_start(&self, level: usize, slot: usize) -> u64 {
+        let step = SLOT_BITS * level as u32;
+        ((self.cursor >> (step + SLOT_BITS)) << (step + SLOT_BITS)) | ((slot as u64) << step)
+    }
+
     /// Re-file every entry of bucket (`level`, `slot`) one or more levels
     /// down, advancing the cursor to the bucket's window first. Entries are
     /// re-filed from their locally-stored key — no slot-table traffic; stale
@@ -428,12 +502,9 @@ impl<E> Scheduler<E> {
         let mut scratch = std::mem::take(&mut self.scratch);
         std::mem::swap(&mut scratch, &mut self.buckets[level][slot & (SLOTS - 1)]);
         self.occ_clear(level, slot);
-        let step = SLOT_BITS * level as u32;
-        // Window start: cursor's digits above `level`, `slot` at `level`,
-        // zeros below. Never moves the cursor backwards: when the cursor is
-        // already inside this window (digit == slot) it stays put.
-        let window =
-            ((self.cursor >> (step + SLOT_BITS)) << (step + SLOT_BITS)) | ((slot as u64) << step);
+        // Never moves the cursor backwards: when the cursor is already
+        // inside this window (digit == slot) it stays put.
+        let window = self.window_start(level, slot);
         if window > self.cursor {
             self.cursor = window;
         }
@@ -482,7 +553,7 @@ mod tests {
     /// oracle: `BinaryHeap` on `Reverse<(time, seq)>` plus two hash sets for
     /// O(1) cancellation with lazy tombstones.
     mod oracle {
-        use crate::{SimDuration, SimTime};
+        use crate::SimTime;
         use std::cmp::Reverse;
         use std::collections::{BinaryHeap, HashSet};
 
@@ -543,10 +614,6 @@ mod tests {
                 self.pending.insert(id);
                 self.seq += 1;
                 id
-            }
-
-            pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> u64 {
-                self.schedule_at(self.now + delay, payload)
             }
 
             pub fn cancel(&mut self, id: u64) -> bool {
@@ -745,6 +812,38 @@ mod tests {
     }
 
     #[test]
+    fn pop_before_stops_at_the_window_end() {
+        let mut s = Scheduler::new();
+        s.schedule_at(SimTime::from_nanos(1_000_000), 'b');
+        s.schedule_at(SimTime::from_nanos(400_000), 'a');
+        let end = SimTime::from_nanos(999_000);
+        assert_eq!(s.pop_before(end), Some((SimTime::from_nanos(400_000), 'a')));
+        // 'b' sits in a bucket whose window starts before `end` (so it may
+        // cascade) but whose events all lie at or after it
+        assert_eq!(s.pop_before(end), None);
+        assert_eq!(
+            s.now(),
+            SimTime::from_nanos(400_000),
+            "None delivers nothing"
+        );
+        // a mailbox delivery at the window end still files correctly
+        s.schedule_at(end, 'm');
+        assert_eq!(s.pop_before(SimTime::MAX), Some((end, 'm')));
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(1_000_000), 'b')));
+    }
+
+    #[test]
+    #[should_panic(expected = "pop_before already searched past it")]
+    fn scheduling_behind_a_pop_before_search_panics() {
+        let mut s = Scheduler::new();
+        s.schedule_at(SimTime::from_nanos(1_000_000), ());
+        // cascades the bucket starting at 983,040 ns, then stops
+        assert_eq!(s.pop_before(SimTime::from_nanos(999_000)), None);
+        // legal for `now`, but behind the search position: would misfile
+        s.schedule_at(SimTime::from_nanos(900_000), ());
+    }
+
+    #[test]
     fn ten_million_event_footprint_stays_bounded() {
         // Satellite of the wheel rewrite: a long run must not accumulate
         // per-event state the way the old pending/cancelled sets retained
@@ -793,6 +892,8 @@ mod tests {
         /// Cancel the k-th most recently issued handle (mod issued).
         Cancel(usize),
         Pop,
+        /// `pop_before(floor + delta)`: the window-loop delivery.
+        PopBefore(u64),
         Peek,
     }
 
@@ -812,13 +913,17 @@ mod tests {
             Just(Step::Pop),
             Just(Step::Pop),
             Just(Step::Pop),
+            (0u64..200_000).prop_map(Step::PopBefore),
+            (0u64..200_000).prop_map(Step::PopBefore),
+            (0u64..5_000_000).prop_map(Step::PopBefore),
             Just(Step::Peek),
         ]
     }
 
     proptest! {
-        /// Random schedule/cancel/pop/peek interleavings produce exactly the
-        /// delivery sequence of the pre-wheel BinaryHeap implementation.
+        /// Random schedule/cancel/pop/pop_before/peek interleavings produce
+        /// exactly the delivery sequence of the pre-wheel BinaryHeap
+        /// implementation (`pop_before(end)` ≡ `peek_time() < end` + `pop`).
         #[test]
         fn wheel_matches_heap_oracle(steps in prop::collection::vec(step_strategy(), 0..300)) {
             let mut wheel: Scheduler<u64> = Scheduler::new();
@@ -826,12 +931,16 @@ mod tests {
             let mut wheel_ids: Vec<EventId> = Vec::new();
             let mut heap_ids: Vec<u64> = Vec::new();
             let mut n = 0u64;
+            // Earliest legal schedule time: the clock, or the end of a
+            // `pop_before` that found nothing since the last delivery (the
+            // window contract).
+            let mut floor = SimTime::ZERO;
             for step in steps {
                 match step {
                     Step::Schedule(delta) => {
-                        let d = SimDuration::from_nanos(delta);
-                        wheel_ids.push(wheel.schedule_after(d, n));
-                        heap_ids.push(heap.schedule_after(d, n));
+                        let at = floor + SimDuration::from_nanos(delta);
+                        wheel_ids.push(wheel.schedule_at(at, n));
+                        heap_ids.push(heap.schedule_at(at, n));
                         n += 1;
                     }
                     Step::Cancel(k) => {
@@ -847,7 +956,22 @@ mod tests {
                     Step::Pop => {
                         // Comparing delivered (time, payload) pairs also pins
                         // the clock: `now` is the last delivered timestamp.
-                        prop_assert_eq!(wheel.pop(), heap.pop(), "delivery diverged");
+                        let got = wheel.pop();
+                        prop_assert_eq!(got, heap.pop(), "delivery diverged");
+                        if let Some((at, _)) = got {
+                            floor = at;
+                        }
+                    }
+                    Step::PopBefore(delta) => {
+                        let end = floor + SimDuration::from_nanos(delta);
+                        let want = if heap.peek_time().is_some_and(|t| t < end) {
+                            heap.pop()
+                        } else {
+                            None
+                        };
+                        let got = wheel.pop_before(end);
+                        prop_assert_eq!(got, want, "windowed delivery diverged");
+                        floor = got.map_or(end, |(at, _)| at);
                     }
                     Step::Peek => {
                         prop_assert_eq!(wheel.peek_time(), heap.peek_time());

@@ -216,6 +216,16 @@ fn pin_windowed_engine_matches_sim_threads_1() {
 /// public `run_sim` entry: `None` = the classic sequential engine,
 /// `Some(t)` = the conservative windowed engine on `t` threads.
 fn run_shardmds(threads: Option<usize>) -> (String, String, u64) {
+    let (result, trace, _, migrations) = run_shardmds_cfg(threads, false);
+    (result, trace, migrations)
+}
+
+/// [`run_shardmds`] with the config's `pin_windowed_engine` too; also
+/// returns the timeseries.
+fn run_shardmds_cfg(
+    threads: Option<usize>,
+    pin_windowed_engine: bool,
+) -> (String, String, String, u64) {
     set_sim_threads(threads);
     let (result, report) = telemetry::capture(|| {
         let mut model = ShardMds::new(ShardMdsConfig {
@@ -273,19 +283,16 @@ fn run_shardmds(threads: Option<usize>) -> (String, String, u64) {
                 }) as Box<dyn cluster::OpStream>
             })
             .collect();
-        run_sim(
-            &mut model,
-            &node_names,
-            specs,
-            streams,
-            &SimConfig::default(),
-        )
+        let mut cfg = SimConfig::default();
+        cfg.pin_windowed_engine = pin_windowed_engine;
+        run_sim(&mut model, &node_names, specs, streams, &cfg)
     });
     set_sim_threads(None);
     let migrations = report.counter("shardmds.migrations");
     (
         format!("{result:?}"),
         report.to_chrome_trace_json(),
+        report.to_timeseries_json(),
         migrations,
     )
 }
@@ -320,6 +327,37 @@ fn shardmds_bit_identical_across_engines_and_thread_counts() {
         assert_eq!(
             windowed.1, run.1,
             "shardmds trace differs between --sim-threads 1 and {threads}"
+        );
+    }
+}
+
+/// A pinned run with `--sim-threads` unset takes up to two host cores (at
+/// most one thread per domain) rather than one thread, and an explicit
+/// count above the host's cores is capped: neither may show in the output.
+/// The shardmds run crosses domains on every placement lookup, so the
+/// mailbox protocol is exercised at whatever thread count the host yields.
+#[test]
+fn pinned_default_threads_match_sim_threads_1() {
+    let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    let one = run_shardmds_cfg(Some(1), false);
+    assert_eq!(
+        one.1.matches("process_name").count(),
+        4,
+        "windowed engine ran"
+    );
+    for (threads, label) in [(None, "unset"), (Some(64), "64 (capped)")] {
+        let pinned = run_shardmds_cfg(threads, true);
+        assert_eq!(
+            one.0, pinned.0,
+            "SimRunResult differs: --sim-threads 1 vs {label}"
+        );
+        assert_eq!(
+            one.1, pinned.1,
+            "Chrome trace differs: --sim-threads 1 vs {label}"
+        );
+        assert_eq!(
+            one.2, pinned.2,
+            "timeseries differs: --sim-threads 1 vs {label}"
         );
     }
 }
