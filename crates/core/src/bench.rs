@@ -329,8 +329,8 @@ struct GridFs {
     planned: u64,
     use_sem: bool,
     /// Whether this instance may offer a domain decomposition (disabled for
-    /// the cell-parallel `stress_grid_mt`, which must not nest the windowed
-    /// engine inside its own worker threads).
+    /// the cell-parallel `stress_grid_mt`, which must not nest partitioned
+    /// runs' window threads inside its own worker threads).
     partition_ok: bool,
 }
 
@@ -439,7 +439,7 @@ impl DistFs for GridFs {
 /// One cell of the stress grid: `workers` workers (4 per node) against
 /// `servers` stations, issuing `ops_per_worker` ops of the given mix.
 /// `partitioned` lets the model offer a domain decomposition (so
-/// `--sim-threads` routes eligible cells to the windowed engine); the
+/// `--sim-threads` runs eligible cells partitioned); the
 /// op-count result is identical either way. Returns ops completed.
 fn run_grid_cell(
     workers: usize,
@@ -524,7 +524,7 @@ fn run_stress_grid(quick: bool) -> u64 {
 /// independent simulation (own model, scheduler, RNG), so the sweep runs
 /// cells concurrently on `--sim-threads` OS threads (default 4) via
 /// [`par::run_independent`], largest cells first (LPT order) for the best
-/// makespan. Each cell itself runs the classic sequential engine — results
+/// makespan. Each cell itself runs as one domain — results
 /// are the per-cell op counts, summed, identical at every thread count.
 fn run_stress_grid_mt(quick: bool) -> u64 {
     let threads = cluster::sim_threads().unwrap_or(4);
@@ -802,8 +802,8 @@ mod tests {
 
     #[test]
     fn partitionable_grid_cell_matches_classic_engine() {
-        // the same cell through the classic engine and the windowed engine
-        // (2 domains) must complete the same ops
+        // the same cell as one domain and partitioned (2 domains) must
+        // complete the same ops
         let classic = run_grid_cell(16, 4, "create", 50, false);
         cluster::set_sim_threads(Some(2));
         let windowed = run_grid_cell(16, 4, "create", 50, true);

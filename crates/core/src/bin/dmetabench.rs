@@ -14,7 +14,7 @@ use dmetabench::{
     all_plugin_names, analyze, baseline, bench, crashdrill, suite, BenchParams, Runner,
 };
 use memfs::crash::CrashSpec;
-use netsim::fault::FaultSpec;
+use netsim::fault::{FaultClause, FaultSpec};
 use simcore::SimDuration;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -47,9 +47,9 @@ BENCH OPTIONS:
                                       [default: snapshot_churn,create_churn]
   --reps <N>                 timed repetitions after one warmup   [default: 5]
   --quick                    reduced workload geometry (CI smoke)
-  --sim-threads <N>          OS threads for the _mt micros and for
-                             partitionable simulated runs (windowed engine;
-                             results bit-identical at any N)
+  --sim-threads <N>          OS threads for the _mt micros, and run
+                             partitionable simulated runs partitioned
+                             (results bit-identical at any N)
   --out <DIR>                directory for BENCH_<id>.json        [default: .]
   --list                     list benchable scenarios and exit
   --compare <OLD> <NEW>      diff two BENCH_*.json files (same scenario) and
@@ -66,10 +66,10 @@ BENCH OPTIONS:
 SUITE OPTIONS:
   --filter <SUBSTR>          only scenarios whose id contains SUBSTR
   --jobs <N>                 worker threads          [default: available cores]
-  --sim-threads <N>          OS threads for partitionable simulated runs
-                             (conservative windowed engine; results are
-                             bit-identical at any N — blessed baselines and
-                             goldens do not change)
+  --sim-threads <N>          run partitionable simulated runs partitioned
+                             on N OS threads (results are bit-identical at
+                             any N — blessed baselines and goldens do not
+                             change)
   --bless                    rewrite baselines/*.json from this run
   --emit-md <PATH>           regenerate EXPERIMENTS.md at PATH
   --list                     list registered scenarios and exit
@@ -107,10 +107,9 @@ OPTIONS:
   --label <TEXT>             result label                 [default: cli-run]
   --output <DIR>             write result files here
   --threads <N>              real mode: max worker threads [default: 4]
-  --sim-threads <N>          sim mode: OS threads for partitionable models
-                             (conservative windowed engine, bit-identical
-                             results at any N; non-partitionable models run
-                             the classic sequential engine regardless)
+  --sim-threads <N>          sim mode: run partitionable models partitioned
+                             on N OS threads (bit-identical results at any
+                             N; other models run as one domain regardless)
   --trace-out <DIR>          write a Chrome trace (<label>.trace.json) and a
                              metrics summary (<label>.metrics.json) into DIR
   --metrics                  print the run's metrics summary JSON
@@ -148,7 +147,7 @@ fn set_sim_threads_arg(raw: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_args() -> Result<Option<Cli>, String> {
+fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     let mut cli = Cli {
         mode: "sim".into(),
         fs: "nfs".into(),
@@ -166,10 +165,13 @@ fn parse_args() -> Result<Option<Cli>, String> {
             ..BenchParams::default()
         },
     };
-    let mut args = std::env::args().skip(1);
+    let mut faults_raw = None;
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{name} needs a value"))
+            args.next()
+                .cloned()
+                .ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
             "--help" | "-h" => {
@@ -194,9 +196,9 @@ fn parse_args() -> Result<Option<Cli>, String> {
                 cli.mds_shards = Some(n);
             }
             "--faults" => {
-                cli.faults = Some(
-                    FaultSpec::parse(&value("--faults")?).map_err(|e| format!("--faults: {e}"))?,
-                )
+                let raw = value("--faults")?;
+                cli.faults = Some(FaultSpec::parse(&raw).map_err(|e| format!("--faults: {e}"))?);
+                faults_raw = Some(raw);
             }
             "--crash" => {
                 cli.crash = Some(
@@ -271,7 +273,45 @@ fn parse_args() -> Result<Option<Cli>, String> {
     if cli.mds_shards.is_some() && cli.fs != "shardmds" {
         return Err("--mds-shards only applies to --fs shardmds".into());
     }
+    if cli.nodes == 0 {
+        return Err("--nodes must be at least 1".into());
+    }
+    if cli.slots_per_node == 0 {
+        return Err("--slots-per-node must be at least 1".into());
+    }
+    if let (Some(raw), "sim") = (&faults_raw, cli.mode.as_str()) {
+        let mut model = model_factory(&cli.fs, cli.faults.as_ref(), cli.mds_shards)?();
+        model.register_clients(cli.nodes);
+        check_fault_servers(raw, &cli.fs, model.as_ref())?;
+    }
     Ok(Some(cli))
+}
+
+/// Reject `--faults` clauses that crash a server `model` cannot crash: such
+/// a clause never fires, and the run would silently report unfaulted
+/// numbers. The error quotes the clause as written.
+fn check_fault_servers(raw: &str, fs: &str, model: &dyn DistFs) -> Result<(), String> {
+    let targets = model.crash_targets();
+    for clause in raw.split(',').map(str::trim) {
+        let clauses = FaultSpec::parse(clause).map_or_else(|_| Vec::new(), |spec| spec.clauses);
+        for parsed in clauses {
+            if let FaultClause::ServerCrash { server, .. } = parsed {
+                if !targets.contains(&server) {
+                    let servers = model.resources().servers;
+                    let named: Vec<String> = targets
+                        .clone()
+                        .map(|i| format!("{i} = {}", servers[i].name))
+                        .collect();
+                    return Err(format!(
+                        "--faults: clause {clause:?} crashes server {server}, but --fs {fs} \
+                         simulates crashes of server(s) {}",
+                        named.join(", ")
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 fn model_factory(
@@ -938,7 +978,7 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("analyze") {
         return analyze_main(&argv[1..]);
     }
-    let cli = match parse_args() {
+    let cli = match parse_args(&argv) {
         Ok(Some(cli)) => cli,
         Ok(None) => return ExitCode::SUCCESS,
         Err(msg) => {
@@ -1044,4 +1084,46 @@ fn main() -> ExitCode {
         eprintln!("results written to {}", dir.display());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Option<Cli>, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn zero_nodes_or_slots_are_rejected() {
+        let err = parse("--nodes 0").err().expect("--nodes 0 is refused");
+        assert!(err.contains("--nodes"), "{err}");
+        let err = parse("--slots-per-node 0")
+            .err()
+            .expect("--slots-per-node 0 is refused");
+        assert!(err.contains("--slots-per-node"), "{err}");
+        let cli = parse("--nodes 1 --slots-per-node 1")
+            .expect("parses")
+            .expect("runs");
+        assert_eq!((cli.nodes, cli.slots_per_node), (1, 1));
+    }
+
+    #[test]
+    fn fault_clauses_must_name_declared_servers() {
+        let err = parse("--fs lustre --nodes 2 --duration 2 --faults crash:9@1s+1s")
+            .err()
+            .expect("a crash of an undeclared server is refused");
+        assert!(err.contains("\"crash:9@1s+1s\""), "{err}");
+        assert!(err.contains("--fs lustre"), "{err}");
+        // a bad clause is named even behind good ones
+        let err = parse("--fs nfs --faults seed=3,crash:0@1s+1s,crash:1@2s+1s")
+            .err()
+            .expect("nfs declares one server");
+        assert!(err.contains("\"crash:1@2s+1s\""), "{err}");
+        // the CI fault smoke and a shard crash stay accepted
+        parse("--fs lustre --nodes 2 --operations MakeFiles --duration 5 --faults crash:0@2s+1s")
+            .expect("declared server accepted");
+        parse("--fs shardmds --faults crash:1@2s+1s --nodes 4").expect("shard server accepted");
+    }
 }

@@ -9,11 +9,11 @@
 //! saturation ceiling, and flattens once shards approach the
 //! distinct client directory count (64 writers).
 //!
-//! The hash-mode model is partition-conforming, so this sweep runs on the
-//! conservative windowed engine — *pinned* via
-//! [`SimConfig::pin_windowed_engine`], because at 64 saturated writers the
-//! engines' same-instant tie-breaking differs and only the windowed engine
-//! is bit-identical at every `--sim-threads` value. The report uses only
+//! The hash-mode model is partition-conforming, so this sweep runs
+//! partitioned — *pinned* via [`SimConfig::pin_windowed_engine`], because
+//! at 64 saturated writers a one-domain run and a partitioned run
+//! tie-break same-instant contention differently, and only the partitioned
+//! run is what every `--sim-threads` value produces. The report uses only
 //! [`cluster::SimRunResult`]-derived data, so the blessed baseline holds
 //! at any thread count (pinned by `tests/parsim_determinism.rs`).
 

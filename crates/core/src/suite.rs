@@ -459,8 +459,8 @@ fn run_suite_inner(
 
     let t0 = Instant::now();
     let jobs = jobs.clamp(1, scenarios.len().max(1));
-    // scenarios side by side already fill the cores; a pinned windowed run
-    // must not add spinning window threads on top
+    // scenarios side by side already fill the cores; a pinned partitioned
+    // run must not add spinning window threads on top
     let _share = (jobs > 1).then(cluster::HostShare::enter);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ScenarioRunResult>>> =

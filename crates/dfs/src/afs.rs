@@ -351,6 +351,11 @@ impl DistFs for AfsFs {
         })
     }
 
+    fn crash_targets(&self) -> std::ops::Range<usize> {
+        // the file servers; the VLDB never crashes
+        1..1 + self.config.file_servers
+    }
+
     fn drop_caches(&mut self, node: usize) {
         // AFS has a persistent disk cache (paper §3.4.3 notes it survives
         // re-mounts); drop-caches clears callbacks but not VLDB knowledge.

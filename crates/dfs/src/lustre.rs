@@ -381,6 +381,11 @@ impl DistFs for LustreFs {
         Ok(())
     }
 
+    fn crash_targets(&self) -> std::ops::Range<usize> {
+        // MDS failover; a crashed OSS or commit thread is not modelled
+        LUSTRE_MDS.0..LUSTRE_MDS.0 + 1
+    }
+
     fn drop_caches(&mut self, node: usize) {
         if let Some(c) = self.lock_caches.get_mut(node) {
             c.clear();

@@ -317,6 +317,10 @@ impl DistFs for NfsFs {
         }
     }
 
+    fn crash_targets(&self) -> std::ops::Range<usize> {
+        NFS_SERVER.0..NFS_SERVER.0 + 1
+    }
+
     fn drop_caches(&mut self, node: usize) {
         if let Some(c) = self.attr_caches.get_mut(node) {
             c.clear();

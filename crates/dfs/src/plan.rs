@@ -322,12 +322,20 @@ pub trait DistFs: Send {
     /// observers: no RNG draws, no state mutation.
     fn sample_gauges(&self, _emit: &mut dyn FnMut(&'static str, u64)) {}
 
-    /// Offer a domain decomposition for the conservative parallel engine.
+    /// Servers whose crash the model simulates, as indices into
+    /// [`resources`](DistFs::resources)`().servers`. A fault-plan crash of
+    /// any other server would never fire, so front ends refuse it. The
+    /// default is none.
+    fn crash_targets(&self) -> std::ops::Range<usize> {
+        0..0
+    }
+
+    /// Offer a domain decomposition for partitioned (`--sim-threads`) runs.
     ///
     /// `nodes` is the client-node count of the run. Models whose state
     /// genuinely splits (independent server groups, per-node client state,
     /// no cross-domain semaphores) return a [`PartitionPlan`]; the default
-    /// `None` keeps the model on the sequential engine at any
+    /// `None` keeps every run of the model one domain at any
     /// `--sim-threads` value, which is always correct. The five paper
     /// models share a central MDS/filer (every client talks to every
     /// server through shared caches and semaphores), so they inherit the

@@ -20,8 +20,8 @@
 //!   detected after one timeout and its traffic rerouted to the next alive
 //!   shard on the ring, accounted as a failover per affected operation,
 //! * **partitioned execution**: [`DistFs::partition`] offers one domain per
-//!   shard group, so `--sim-threads` runs the model on the conservative
-//!   windowed engine bit-identically to the classic sequential engine.
+//!   shard group, so `--sim-threads` runs the model partitioned, with
+//!   results bit-identical at every thread count.
 //!
 //! Costs are deliberately *flat* (a pure function of the op kind and path
 //! depth, via [`ServiceCostModel`]): a shard replica inside one window
@@ -627,6 +627,11 @@ impl DistFs for ShardMds {
             faults: fstats,
             ..Default::default()
         })
+    }
+
+    fn crash_targets(&self) -> std::ops::Range<usize> {
+        // the shards; the location service never crashes
+        self.shard_server(0).0..self.shard_server(self.config.shards).0
     }
 
     fn drop_caches(&mut self, node: usize) {

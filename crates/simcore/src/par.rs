@@ -1,11 +1,13 @@
 //! Conservative parallel discrete-event runtime: domain partitioning with
 //! lookahead windows.
 //!
-//! The sequential engine owns one [`Scheduler`](crate::Scheduler) and pops
-//! events in global timestamp order. This module provides the classic
-//! *conservative* (Chandy–Misra–Bryant style) alternative: the simulation is
+//! One [`Scheduler`](crate::Scheduler) pops events in global timestamp
+//! order. This module provides the classic *conservative*
+//! (Chandy–Misra–Bryant style) runtime on top of it: the simulation is
 //! partitioned into **domains**, each with its own scheduler, and all domains
-//! advance together through synchronized time windows
+//! advance together through synchronized time windows (the cluster engine
+//! runs an unpartitioned simulation as one domain with an unbounded
+//! lookahead — a single window)
 //!
 //! ```text
 //! [window_start, window_start + lookahead)

@@ -2,7 +2,7 @@
 //! run's **results and telemetry are byte-identical at every
 //! `--sim-threads` value**. The domain decomposition, per-domain RNGs and
 //! per-domain telemetry captures are properties of the model, not of the
-//! host, so `--sim-threads 1` (the windowed algorithm on one thread) and
+//! host, so `--sim-threads 1` (the same domains on one thread) and
 //! `--sim-threads {2,4,8}` must agree bit for bit.
 //!
 //! Uses a self-contained partitionable model (four servers, round-robin
@@ -161,8 +161,8 @@ fn partitioned_runs_bit_identical_across_thread_counts() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = run_traced(1);
 
-    // evidence the windowed engine actually ran: one trace process per
-    // domain (the classic engine would emit exactly one)
+    // evidence the run was partitioned: one trace process per domain (a
+    // one-domain run would emit exactly one)
     assert_eq!(
         baseline.1.matches("process_name").count(),
         SERVERS,
@@ -189,8 +189,8 @@ fn partitioned_runs_bit_identical_across_thread_counts() {
     assert!(baseline.0.contains(&format!("ops_done: {OPS_PER_WORKER}")));
 }
 
-/// `SimConfig::pin_windowed_engine` routes a partitionable model to the
-/// windowed engine even with the global `--sim-threads` knob unset, and is
+/// `SimConfig::pin_windowed_engine` runs a partitionable model partitioned
+/// even with the global `--sim-threads` knob unset, and is
 /// byte-identical to an explicit `--sim-threads 1` run — so a scenario
 /// that sets it gets the same blessed numbers at every knob setting.
 #[test]
@@ -213,8 +213,8 @@ fn pin_windowed_engine_matches_sim_threads_1() {
 }
 
 /// The sharded MDS service under a live migration schedule, run through the
-/// public `run_sim` entry: `None` = the classic sequential engine,
-/// `Some(t)` = the conservative windowed engine on `t` threads.
+/// public `run_sim` entry: `None` = one domain (the sequential event
+/// order), `Some(t)` = partitioned on `t` threads.
 fn run_shardmds(threads: Option<usize>) -> (String, String, u64) {
     let (result, trace, _, migrations) = run_shardmds_cfg(threads, false);
     (result, trace, migrations)
@@ -297,9 +297,9 @@ fn run_shardmds_cfg(
     )
 }
 
-/// The tentpole model's determinism matrix: the classic engine and the
-/// windowed engine at every thread count agree on the run result, and the
-/// windowed engine's telemetry is byte-identical at every thread count.
+/// The sharded model's determinism matrix: a one-domain run and
+/// partitioned runs at every thread count agree on the run result, and the
+/// partitioned telemetry is byte-identical at every thread count.
 #[test]
 fn shardmds_bit_identical_across_engines_and_thread_counts() {
     let _serial = KNOB.lock().unwrap_or_else(|e| e.into_inner());

@@ -141,11 +141,10 @@ fn writeback_goldens_hold_across_sim_threads() {
     cluster::set_sim_threads(None);
 }
 
-/// The sharded-MDS model's telemetry counters are engine-invariant: the
-/// classic sequential engine and the windowed engine at every thread count
-/// agree on every `shardmds.*` total (the per-domain captures merge by
-/// summation), and the windowed metrics summary is byte-identical across
-/// thread counts.
+/// The sharded-MDS model's telemetry counters are partition-invariant: a
+/// one-domain run and partitioned runs at every thread count agree on every
+/// `shardmds.*` total (the per-domain captures merge by summation), and the
+/// partitioned metrics summary is byte-identical across thread counts.
 #[test]
 fn shardmds_counters_identical_across_engines_and_thread_counts() {
     use cluster::{run_sim, set_sim_threads, SimConfig, WorkerSpec};
